@@ -24,28 +24,31 @@
 //! * **Miss fall-through.** Queries whose class is absent are evaluated
 //!   live; with append-back enabled the fresh class is folded into the
 //!   dictionary under the store's conflict discipline.
-//! * **Batching.** [`DecodeServer::handle_batch`] decodes a batch with
-//!   worker threads behind the `parallel` feature (per-worker
-//!   [`CanonScratch`]); without the feature the same entry point runs
-//!   sequentially with identical results.
+//! * **Connections.** [`DecodeServer::serve_tcp`] serves each connection
+//!   on a worker thread of its own, at most [`connection_workers`] at
+//!   once, with Nagle's algorithm off; the worker decodes that
+//!   connection's batches in order on one [`CanonScratch`], so
+//!   parallelism runs across connections, not inside a batch. A read or write error ends only its own connection, and a
+//!   connection that finds every worker taken gets a typed
+//!   [`protocol::ERR_BUSY`] frame and is closed.
 
 pub mod protocol;
 
 use lad_core::{ball_from_words, query_key, ServedSchema};
 use lad_runtime::store::{ClassStore, ClassVerdict, SchemaId, StoreError};
-use lad_runtime::{par_map_with, CanonScratch, CanonicalKey, MemoStep};
+use lad_runtime::{CanonScratch, CanonicalKey, MemoStep};
 use protocol::{
     decode_batch_response, push_string, read_frame, read_string, write_frame, BatchResult,
-    ERR_BAD_REQUEST, ERR_DECODE, ERR_MALFORMED_QUERY, ERR_STALE_DICTIONARY, MAX_FRAME_WORDS,
-    REQ_BATCH, REQ_INFO, REQ_SHUTDOWN, RESP_BATCH, RESP_BYE, RESP_ERROR, RESP_INFO, RES_ERROR,
-    RES_NEED_RADIUS, RES_OK,
+    ERR_BAD_REQUEST, ERR_BUSY, ERR_DECODE, ERR_MALFORMED_QUERY, ERR_STALE_DICTIONARY,
+    MAX_FRAME_WORDS, REQ_BATCH, REQ_INFO, REQ_SHUTDOWN, RESP_BATCH, RESP_BYE, RESP_ERROR,
+    RESP_INFO, RES_ERROR, RES_NEED_RADIUS, RES_OK,
 };
 use std::collections::HashMap;
 use std::fmt;
 use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 
 /// Why a server could not be constructed or persisted.
 #[derive(Debug)]
@@ -293,18 +296,26 @@ impl DecodeServer {
         }
     }
 
-    /// Answers a batch. With the `parallel` feature the batch fans out
-    /// across worker threads, one [`CanonScratch`] per worker; without it
-    /// the same call decodes sequentially with identical results.
+    /// Answers a batch in order on one [`CanonScratch`] built for this
+    /// call. A served connection reuses its worker's scratch instead.
     pub fn handle_batch(&self, queries: &[&[u64]]) -> Vec<BatchResult> {
-        par_map_with(queries, CanonScratch::new, |scratch, _i, q| {
-            self.answer_query(q, scratch)
-        })
+        self.decode_batch(queries, &mut CanonScratch::new())
+    }
+
+    fn decode_batch(&self, queries: &[&[u64]], scratch: &mut CanonScratch) -> Vec<BatchResult> {
+        queries
+            .iter()
+            .map(|q| self.answer_query(q, scratch))
+            .collect()
     }
 
     /// Handles one request frame; returns the response frame and whether
     /// the server should shut down.
     pub fn handle_request(&self, frame: &[u64]) -> (Vec<u64>, bool) {
+        self.respond(frame, &mut CanonScratch::new())
+    }
+
+    fn respond(&self, frame: &[u64], scratch: &mut CanonScratch) -> (Vec<u64>, bool) {
         let error = |code: u64, msg: &str| {
             let mut resp = vec![RESP_ERROR, code];
             push_string(&mut resp, msg);
@@ -315,7 +326,7 @@ impl DecodeServer {
                 let Some(queries) = parse_batch_request(frame) else {
                     return error(ERR_BAD_REQUEST, "malformed batch request frame");
                 };
-                let results = self.handle_batch(&queries);
+                let results = self.decode_batch(&queries, scratch);
                 let mut resp = vec![RESP_BATCH, results.len() as u64];
                 for result in results {
                     match result {
@@ -353,16 +364,19 @@ impl DecodeServer {
         }
     }
 
-    /// Serves one connection until EOF or shutdown; returns whether a
-    /// shutdown was requested.
+    /// Serves one connection until EOF or shutdown, decoding its batches
+    /// in order on one [`CanonScratch`]; returns whether a shutdown was
+    /// requested.
     ///
     /// # Errors
     ///
-    /// Propagates I/O failures; malformed frames are answered with typed
-    /// [`RESP_ERROR`] frames, not errors.
+    /// Propagates I/O failures, including a frame cut off mid-way;
+    /// malformed frames are answered with typed [`RESP_ERROR`] frames, not
+    /// errors.
     pub fn serve_connection(&self, mut r: impl Read, mut w: impl Write) -> io::Result<bool> {
+        let mut scratch = CanonScratch::new();
         while let Some(frame) = read_frame(&mut r)? {
-            let (resp, shutdown) = self.handle_request(&frame);
+            let (resp, shutdown) = self.respond(&frame, &mut scratch);
             write_frame(&mut w, &resp)?;
             if shutdown {
                 return Ok(true);
@@ -383,29 +397,177 @@ impl DecodeServer {
         Ok(())
     }
 
-    /// Accepts connections until one requests shutdown. Connections are
-    /// served one at a time — parallelism lives *inside* batches, where
-    /// the decode work is.
+    /// Accepts connections until one requests shutdown, then closes every
+    /// other open connection and returns once their workers are done.
+    ///
+    /// Each accepted connection gets `TCP_NODELAY`, so an answer leaves as
+    /// soon as it is written rather than waiting for the client's next
+    /// request to acknowledge the previous one. It is then served by a
+    /// worker thread of its own, with
+    /// [`serve_connection`](Self::serve_connection), until it ends. At most
+    /// [`connection_workers`] connections are served at once; one that
+    /// arrives while all are taken is answered with a [`RESP_ERROR`] frame
+    /// carrying [`ERR_BUSY`] and closed, never queued.
     ///
     /// # Errors
     ///
-    /// Propagates accept/I/O failures; a connection that drops mid-frame
-    /// only ends that connection.
+    /// A failure of the listener itself, such as running out of file
+    /// descriptors. A read or write error, a frame cut off mid-way or a
+    /// garbage frame ends only its own connection.
     pub fn serve_tcp(&self, listener: &TcpListener) -> io::Result<()> {
-        for conn in listener.incoming() {
-            let stream = conn?;
-            let reader = stream.try_clone()?;
-            match self.serve_connection(io::BufReader::new(reader), io::BufWriter::new(stream)) {
-                Ok(true) => return Ok(()),
-                Ok(false) => {}
-                Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                    // A garbage frame poisons only its connection.
-                    continue;
+        let wake = loopback_of(listener.local_addr()?);
+        let open = OpenConnections::new(connection_workers());
+        std::thread::scope(|s| {
+            let accepted = loop {
+                let stream = match accept_nodelay(listener) {
+                    Ok(Some(stream)) => stream,
+                    Ok(None) => continue,
+                    Err(e) => break Err(e),
+                };
+                let (slot, stream) = match open.admit(stream) {
+                    Admission::Admitted(slot, stream) => (slot, stream),
+                    Admission::Busy(stream) => {
+                        let mut busy = vec![RESP_ERROR, ERR_BUSY];
+                        push_string(&mut busy, "every connection worker is taken; retry later");
+                        // The connection is closed either way.
+                        let _ = write_frame(&mut &stream, &busy);
+                        continue;
+                    }
+                    Admission::Stopping => break Ok(()),
+                };
+                let open = &open;
+                let worker = std::thread::Builder::new().spawn_scoped(s, move || {
+                    let served = self.serve_connection(
+                        io::BufReader::new(&*stream),
+                        io::BufWriter::new(&*stream),
+                    );
+                    if matches!(served, Ok(true)) {
+                        open.stop();
+                        // Wake the accept loop so it sees the stop. If this
+                        // connect fails, the next arrival does it.
+                        let _ = TcpStream::connect(wake);
+                    }
+                    open.finish(slot);
+                });
+                if worker.is_err() {
+                    // No thread for this connection: close it.
+                    open.finish(slot);
                 }
-                Err(e) => return Err(e),
-            }
+            };
+            open.stop();
+            accepted
+        })
+    }
+}
+
+/// Accepts the next connection and sets `TCP_NODELAY` on it; `Ok(None)`
+/// when that connection failed before it could be served.
+///
+/// # Errors
+///
+/// A failure of the listener itself.
+fn accept_nodelay(listener: &TcpListener) -> io::Result<Option<TcpStream>> {
+    match listener.accept() {
+        Ok((stream, _)) => Ok(stream.set_nodelay(true).is_ok().then_some(stream)),
+        Err(e)
+            if matches!(
+                e.kind(),
+                io::ErrorKind::ConnectionAborted
+                    | io::ErrorKind::ConnectionReset
+                    | io::ErrorKind::Interrupted
+            ) =>
+        {
+            Ok(None)
         }
-        Ok(())
+        Err(e) => Err(e),
+    }
+}
+
+/// Connection workers per available core. A worker spends most of a
+/// connection blocked on its client, so several per core keep the cores
+/// busy while the bound still caps threads and buffers.
+const WORKERS_PER_CORE: usize = 4;
+
+/// The most connections [`DecodeServer::serve_tcp`] serves at once, one
+/// worker thread each.
+pub fn connection_workers() -> usize {
+    WORKERS_PER_CORE * std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// The address a worker connects to in order to wake the accept loop: the
+/// listener's own, with a wildcard host replaced by loopback.
+fn loopback_of(addr: SocketAddr) -> SocketAddr {
+    let ip = match addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, addr.port())
+}
+
+/// The open connections of one [`DecodeServer::serve_tcp`] call, one slot
+/// per worker, so a shutdown can close them all and their workers can be
+/// joined.
+struct OpenConnections {
+    slots: Mutex<Slots>,
+}
+
+struct Slots {
+    stopping: bool,
+    streams: Vec<Option<Arc<TcpStream>>>,
+}
+
+/// What the accept loop does with a new connection.
+enum Admission {
+    /// Serve it; it holds this slot until [`OpenConnections::finish`].
+    Admitted(usize, Arc<TcpStream>),
+    /// Every slot is taken.
+    Busy(TcpStream),
+    /// A shutdown was requested; stop accepting.
+    Stopping,
+}
+
+impl OpenConnections {
+    fn new(workers: usize) -> Self {
+        OpenConnections {
+            slots: Mutex::new(Slots {
+                stopping: false,
+                streams: vec![None; workers],
+            }),
+        }
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, Slots> {
+        self.slots.lock().expect("connection slots lock")
+    }
+
+    fn admit(&self, stream: TcpStream) -> Admission {
+        let mut slots = self.lock();
+        if slots.stopping {
+            return Admission::Stopping;
+        }
+        match slots.streams.iter().position(Option::is_none) {
+            Some(slot) => {
+                let stream = Arc::new(stream);
+                slots.streams[slot] = Some(Arc::clone(&stream));
+                Admission::Admitted(slot, stream)
+            }
+            None => Admission::Busy(stream),
+        }
+    }
+
+    fn finish(&self, slot: usize) {
+        self.lock().streams[slot] = None;
+    }
+
+    /// Marks the server as stopping and shuts every open connection down,
+    /// which unblocks its worker.
+    fn stop(&self) {
+        let mut slots = self.lock();
+        slots.stopping = true;
+        for stream in slots.streams.iter().flatten() {
+            let _ = stream.shutdown(Shutdown::Both);
+        }
     }
 }
 
@@ -465,15 +627,17 @@ pub struct Client<S> {
 }
 
 impl Client<TcpStream> {
-    /// Connects over TCP.
+    /// Connects over TCP with `TCP_NODELAY` set, so a pipelined request
+    /// leaves at once instead of waiting for the previous one's
+    /// acknowledgement.
     ///
     /// # Errors
     ///
     /// Propagates connect failures.
     pub fn connect(addr: impl std::net::ToSocketAddrs) -> io::Result<Self> {
-        Ok(Client {
-            stream: TcpStream::connect(addr)?,
-        })
+        let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
+        Ok(Client { stream })
     }
 }
 
@@ -557,6 +721,27 @@ mod tests {
             .filter(|&c| DecodeServer::should_verify(c))
             .collect();
         assert_eq!(verified, vec![1, 2, 4, 8, 16, 32, 64]);
+    }
+
+    #[test]
+    fn both_ends_of_a_connection_set_nodelay() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let client = Client::connect(listener.local_addr().expect("addr")).expect("connect");
+        assert!(client.stream.nodelay().expect("read TCP_NODELAY"));
+        let accepted = accept_nodelay(&listener)
+            .expect("listener works")
+            .expect("connection accepted");
+        assert!(accepted.nodelay().expect("read TCP_NODELAY"));
+    }
+
+    #[test]
+    fn wildcard_listeners_are_woken_over_loopback() {
+        let v4: SocketAddr = "0.0.0.0:7171".parse().expect("addr");
+        assert_eq!(loopback_of(v4), "127.0.0.1:7171".parse().expect("addr"));
+        let v6: SocketAddr = "[::]:7171".parse().expect("addr");
+        assert_eq!(loopback_of(v6), "[::1]:7171".parse().expect("addr"));
+        let bound: SocketAddr = "10.0.0.2:7171".parse().expect("addr");
+        assert_eq!(loopback_of(bound), bound);
     }
 
     #[test]

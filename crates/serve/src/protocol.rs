@@ -69,6 +69,14 @@ pub const ERR_DECODE: u64 = 2;
 pub const ERR_STALE_DICTIONARY: u64 = 3;
 /// Error code: the request frame itself was malformed.
 pub const ERR_BAD_REQUEST: u64 = 4;
+/// Error code: every connection worker is taken; the server closes the
+/// connection after this frame. Retry later.
+pub const ERR_BUSY: u64 = 5;
+
+/// Bytes a frame's payload is read in at most at a time. The word buffer
+/// grows only as payload arrives, so a bare length prefix claiming
+/// [`MAX_FRAME_WORDS`] costs one step, not the claimed size.
+const READ_STEP_BYTES: usize = 8 << 10;
 
 fn bad(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
@@ -99,27 +107,39 @@ pub fn write_frame(w: &mut impl Write, words: &[u64]) -> io::Result<()> {
 ///
 /// # Errors
 ///
-/// I/O failure, a truncated frame, or a length prefix beyond
-/// [`MAX_FRAME_WORDS`].
+/// I/O failure, a frame truncated anywhere after its first byte
+/// (`UnexpectedEof`), or a length prefix beyond [`MAX_FRAME_WORDS`].
 pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u64>>> {
     let mut len_bytes = [0u8; 8];
-    match r.read_exact(&mut len_bytes) {
-        Ok(()) => {}
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e),
+    // Only EOF before the first byte is clean; `read_exact` on the rest
+    // turns a cut inside the prefix into `UnexpectedEof`.
+    loop {
+        match r.read(&mut len_bytes[..1]) {
+            Ok(0) => return Ok(None),
+            Ok(_) => break,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
     }
+    r.read_exact(&mut len_bytes[1..])?;
     let len = u64::from_le_bytes(len_bytes);
     if len > MAX_FRAME_WORDS {
         return Err(bad(format!("frame length {len} exceeds the cap")));
     }
-    let mut bytes = vec![0u8; len as usize * 8];
-    r.read_exact(&mut bytes)?;
-    Ok(Some(
-        bytes
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("exact chunk")))
-            .collect(),
-    ))
+    let mut remaining = len as usize * 8;
+    let mut words = Vec::with_capacity(remaining.min(READ_STEP_BYTES) / 8);
+    let mut step = [0u8; READ_STEP_BYTES];
+    while remaining > 0 {
+        let chunk = &mut step[..remaining.min(READ_STEP_BYTES)];
+        r.read_exact(chunk)?;
+        words.extend(
+            chunk
+                .chunks_exact(8)
+                .map(|c| u64::from_le_bytes(c.try_into().expect("exact chunk"))),
+        );
+        remaining -= chunk.len();
+    }
+    Ok(Some(words))
 }
 
 /// Appends a string as `[byte length, packed words…]`.
@@ -254,6 +274,64 @@ mod tests {
         bytes.extend_from_slice(&u64::MAX.to_le_bytes());
         let err = read_frame(&mut io::Cursor::new(bytes)).expect_err("cap");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    /// Yields a length prefix claiming [`MAX_FRAME_WORDS`] and then EOF,
+    /// refusing any read buffer larger than one step.
+    struct BareHeader {
+        header: Vec<u8>,
+        largest_read: usize,
+    }
+
+    impl Read for BareHeader {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            assert!(
+                buf.len() <= READ_STEP_BYTES,
+                "handed a {}-byte read buffer",
+                buf.len()
+            );
+            self.largest_read = self.largest_read.max(buf.len());
+            let n = buf.len().min(self.header.len());
+            buf[..n].copy_from_slice(&self.header[..n]);
+            self.header.drain(..n);
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn bare_max_size_header_is_a_typed_error_read_in_bounded_steps() {
+        let mut r = BareHeader {
+            header: MAX_FRAME_WORDS.to_le_bytes().to_vec(),
+            largest_read: 0,
+        };
+        let err = read_frame(&mut r).expect_err("payload never arrives");
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert!(r.largest_read > 0 && r.largest_read <= READ_STEP_BYTES);
+    }
+
+    #[test]
+    fn truncation_after_the_first_byte_is_an_error_not_a_clean_eof() {
+        let mut bytes = Vec::new();
+        write_frame(&mut bytes, &[7, 8, 9]).expect("write");
+        assert_eq!(
+            read_frame(&mut io::Cursor::new(&bytes[..0])).expect("eof"),
+            None
+        );
+        for cut in 1..bytes.len() {
+            let err = read_frame(&mut io::Cursor::new(&bytes[..cut])).expect_err("truncated");
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "cut at {cut}");
+        }
+    }
+
+    #[test]
+    fn multi_step_payloads_round_trip() {
+        let words: Vec<u64> = (0..3 * READ_STEP_BYTES as u64 / 8 + 5).collect();
+        let mut bytes = Vec::new();
+        write_frame(&mut bytes, &words).expect("write");
+        assert_eq!(
+            read_frame(&mut io::Cursor::new(bytes)).expect("read"),
+            Some(words)
+        );
     }
 
     #[test]
